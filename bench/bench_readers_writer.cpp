@@ -179,6 +179,11 @@ void shapes(benchmark::internal::Benchmark* b) {
       b->Args({threads, read_pct});
     }
   }
+  // Read-only scaling pair: with no writer nothing ever refuses a reader,
+  // so aggregate throughput at 4 threads should not fall below 1 thread's
+  // (perf-smoke guards /4/100 >= /1/100 for the framework).
+  b->Args({1, 100});
+  b->Args({4, 100});
   b->Unit(benchmark::kMillisecond)->UseRealTime();
 }
 

@@ -16,7 +16,9 @@
 // (Aspect::nonblocking), so reader hooks may run on the moderator's
 // lock-free fast path, concurrently with each other. Writer hooks always
 // run under the shard locks, and the moderator's admission handshake keeps
-// them mutually ordered with reader hook windows (DESIGN.md §11).
+// them mutually ordered with reader hook windows (DESIGN.md §11). The
+// active-reader count is striped per thread (concurrency/knobs.hpp) so
+// that concurrent readers write no shared cache line.
 #pragma once
 
 #include <atomic>
@@ -27,6 +29,7 @@
 #include <string>
 #include <unordered_set>
 
+#include "concurrency/knobs.hpp"
 #include "core/aspect.hpp"
 #include "runtime/ids.hpp"
 
@@ -112,8 +115,8 @@ class ReadersWriterAspect final : public core::Aspect {
     // postaction happen-before the guard evaluations that must see it);
     // coherence alone keeps each counter's reads monotone.
     if (is_writer(ctx)) {
-      return (active_readers_.load(std::memory_order_relaxed) == 0 &&
-              active_writers_.load(std::memory_order_relaxed) == 0)
+      return (active_writers_.load(std::memory_order_relaxed) == 0 &&
+              !readers_active())
                  ? core::Decision::kResume
                  : core::Decision::kBlock;
     }
@@ -132,7 +135,10 @@ class ReadersWriterAspect final : public core::Aspect {
       waiting_writers_.fetch_sub(1, std::memory_order_relaxed);
       active_writers_.fetch_add(1, std::memory_order_relaxed);
     } else {
-      active_readers_.fetch_add(1, std::memory_order_relaxed);
+      if (!readers_seen_.load(std::memory_order_relaxed)) {
+        readers_seen_.store(true, std::memory_order_relaxed);
+      }
+      active_readers_.add(1);
     }
   }
 
@@ -140,7 +146,7 @@ class ReadersWriterAspect final : public core::Aspect {
     if (is_writer(ctx)) {
       active_writers_.fetch_sub(1, std::memory_order_relaxed);
     } else {
-      active_readers_.fetch_sub(1, std::memory_order_relaxed);
+      active_readers_.sub(1);
     }
   }
 
@@ -151,12 +157,16 @@ class ReadersWriterAspect final : public core::Aspect {
   }
 
   std::size_t active_readers() const {
-    return static_cast<std::size_t>(
-        active_readers_.load(std::memory_order_relaxed));
+    return static_cast<std::size_t>(active_readers_.load());
   }
   std::size_t active_writers() const {
     return static_cast<std::size_t>(
         active_writers_.load(std::memory_order_relaxed));
+  }
+  /// Writers that arrived and were neither admitted nor cancelled yet.
+  std::size_t waiting_writers() const {
+    return static_cast<std::size_t>(
+        waiting_writers_.load(std::memory_order_relaxed));
   }
 
  private:
@@ -164,10 +174,23 @@ class ReadersWriterAspect final : public core::Aspect {
     return writers_.contains(ctx.method());
   }
 
+  // The writer guard's reader check. Summing the stripes costs kStripes
+  // cache-line reads, so a composition whose readers never entered (e.g.
+  // one with writers only) skips it: readers_seen_ is set once, by the
+  // first reader entry, and the handshake that orders that entry's slot
+  // increment before this guard orders the flag with it.
+  bool readers_active() const {
+    return readers_seen_.load(std::memory_order_relaxed) &&
+           active_readers_.load() != 0;
+  }
+
   Options options_;
   std::unordered_set<runtime::MethodId> readers_;
   std::unordered_set<runtime::MethodId> writers_;
-  std::atomic<std::uint64_t> active_readers_{0};
+  // Unsigned stripes: a reader admitted on one thread and completed on
+  // another leaves two slots off by one each, and the sum stays exact.
+  par_counter<std::uint64_t> active_readers_;
+  std::atomic<bool> readers_seen_{false};
   std::atomic<std::uint64_t> active_writers_{0};
   std::atomic<std::uint64_t> waiting_writers_{0};
 };

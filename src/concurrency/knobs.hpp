@@ -27,8 +27,11 @@
 // exist, exactly like upcxx's hidden-AM-concurrency level.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <mutex>
+#include <utility>
 
 namespace amf::concurrency {
 
@@ -140,11 +143,115 @@ using par_mutex = mutex_for<kBuildModel>;
 template <typename T>
 using par_atomic = atomic_for<kBuildModel, T>;
 
+// --- per-thread striping (the per-core flavour of par_atomic) -------------
+//
+// A tally that every call bumps and almost nobody reads should not be one
+// shared cache line: on real cores each read-modify-write drags the line
+// between cores and the callers serialize on it. A striped cell keeps
+// kStripes cache-line-padded copies; each thread writes only the slot it
+// was dealt, and the rare reader visits every slot (a scalable reader
+// indicator). Counts of call EVENTS are exactly this shape: summing the
+// slots gives the same number one shared counter would, because addition
+// does not care which thread performed it. With the pinned model there is
+// one thread, hence one plain cell and no padding.
+
+/// Number of slots in a striped cell.
+inline constexpr std::size_t kStripes = 8;
+/// Padding unit of a stripe slot.
+inline constexpr std::size_t kCacheLine = 64;
+
+/// The slot this thread writes: dealt round-robin on the thread's first
+/// use, so up to kStripes live threads never share a slot.
+inline std::size_t this_thread_stripe() noexcept {
+  static std::atomic<std::size_t> dealt{0};
+  thread_local std::size_t slot = kStripes;  // kStripes = not dealt yet
+  if (slot == kStripes) {
+    slot = dealt.fetch_add(1, std::memory_order_relaxed) % kStripes;
+  }
+  return slot;
+}
+
+/// kStripes padded copies of `Cell`. `local()` is the calling thread's
+/// copy; `for_each()` visits every copy (the read side). Cells shared by
+/// several threads (more threads than slots) must be atomics.
+template <ThreadModel TM, typename Cell>
+class Striped {
+ public:
+  Cell& local() noexcept { return slots_[this_thread_stripe()].cell; }
+
+  template <typename F>
+  void for_each(F&& f) const {
+    for (const Slot& s : slots_) f(s.cell);
+  }
+
+ private:
+  struct alignas(kCacheLine) Slot {
+    Cell cell{};
+  };
+  std::array<Slot, kStripes> slots_{};
+};
+
+/// The pinned model: one plain cell, no padding, no slot lookup.
+template <typename Cell>
+class Striped<ThreadModel::kPinned, Cell> {
+ public:
+  Cell& local() noexcept { return cell_; }
+
+  template <typename F>
+  void for_each(F&& f) const {
+    f(cell_);
+  }
+
+ private:
+  Cell cell_{};
+};
+
+/// A striped integer counter: add/sub on the caller's slot, summed on
+/// load. The sum of unsigned slots is exact modulo 2^N even when one
+/// thread adds and another subtracts (a slot may then wrap on its own).
+template <ThreadModel TM, typename T>
+class StripedCounter {
+ public:
+  using Cell = atomic_for<TM, T>;
+
+  /// The caller's slot, for protocols that must pair an increment and a
+  /// decrement on the same slot (see AspectModerator's fast windows).
+  Cell& local() noexcept { return cells_.local(); }
+
+  void add(T d, std::memory_order o = std::memory_order_relaxed) noexcept {
+    local().fetch_add(d, o);
+  }
+  void sub(T d, std::memory_order o = std::memory_order_relaxed) noexcept {
+    local().fetch_sub(d, o);
+  }
+  T load(std::memory_order order = std::memory_order_relaxed) const noexcept {
+    T sum{};
+    cells_.for_each(
+        [&](const Cell& c) { sum = static_cast<T>(sum + c.load(order)); });
+    return sum;
+  }
+  template <typename F>
+  void for_each(F&& f) const {
+    cells_.for_each(std::forward<F>(f));
+  }
+
+ private:
+  Striped<TM, Cell> cells_;
+};
+
+/// Build-level spellings, as for the atomics.
+template <typename Cell>
+using par_striped = Striped<kBuildModel, Cell>;
+template <typename T>
+using par_counter = StripedCounter<kBuildModel, T>;
+
 }  // namespace amf::concurrency
 
 namespace amf {
 // The short spellings the rest of the tree uses.
 using concurrency::par_atomic;
+using concurrency::par_counter;
 using concurrency::par_mutex;
+using concurrency::par_striped;
 using concurrency::ThreadModel;
 }  // namespace amf

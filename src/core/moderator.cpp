@@ -85,6 +85,38 @@ std::uint64_t next_instance_nonce() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
+// Bounded wait before parking (DESIGN.md §11.4, §14.2). A blocked call
+// first polls `ready` for about kWaitBudget: pausing the CPU for the first
+// kPausePhase, then yielding it, so that when threads outnumber CPUs the
+// thread it waits for gets to run. Returns true as soon as ready() holds,
+// false once the budget is spent. The budget is a constant, and a caller
+// that runs it out parks exactly as it would have without the wait.
+constexpr std::chrono::microseconds kWaitBudget{20};
+constexpr std::chrono::microseconds kPausePhase{2};
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+template <typename Ready>
+bool bounded_wait(Ready&& ready) {
+  const auto start = std::chrono::steady_clock::now();
+  for (;;) {
+    const auto spent = std::chrono::steady_clock::now() - start;
+    if (spent < kPausePhase) {
+      for (int i = 0; i < 8; ++i) cpu_relax();
+    } else {
+      std::this_thread::yield();
+    }
+    if (ready()) return true;
+    if (spent >= kWaitBudget) return false;
+  }
+}
+
 // Thread-local Moderation cache capacity; small and scanned linearly —
 // a process rarely touches more than a handful of (moderator, method)
 // pairs per thread, and eviction only costs a rebuild.
@@ -153,14 +185,25 @@ Decision AspectModerator::preactivation(InvocationContext& ctx) {
   // across composition epochs so retroactive arrivals fire exactly once.
   ArrivedVec arrived;
 
-  // Optimistic fast path: one lock-free attempt before any mutex. Falls
+  // Optimistic fast path: lock-free attempts before any mutex. Falls
   // through to the slow loop on ineligibility, validation failure, or a
   // kBlock verdict (on_arrive hooks that fired carry over via `arrived`).
   // Hook-bearing fast admissions draw their arrival_seq inside the
   // attempt; hook-free ones skip the shared counter entirely.
   {
     Decision fast{};
-    if (try_fast_admission(ctx, arrived, &fast)) return fast;
+    FastTry t = try_fast_admission(ctx, arrived, &fast);
+    // Bounded wait (DESIGN.md §11.4): a locked section in progress or a
+    // refusing guard (a writer waiting) usually clears within
+    // microseconds, so retry for a bounded time before the slow loop
+    // queues this caller and parks it.
+    if (t == FastTry::kContended) {
+      bounded_wait([&] {
+        t = try_fast_admission(ctx, arrived, &fast);
+        return t != FastTry::kContended;
+      });
+    }
+    if (t == FastTry::kHandled) return fast;
   }
 
   if (ctx.enqueued_at() == runtime::TimePoint{}) {
@@ -271,7 +314,7 @@ Decision AspectModerator::preactivation(InvocationContext& ctx) {
         // full fence of the seq_cst RMW — so we either see its effects or
         // it sees us and takes the broadcasting slow path.
         sleepers_.fetch_add(1, std::memory_order_seq_cst);
-        ms.stats.block_events.fetch_add(1, std::memory_order_relaxed);
+        ms.stats.local().block_events.fetch_add(1, std::memory_order_relaxed);
         log_event("blocked", ctx);
         if (watchdog_) {
           stall_rec = std::make_shared<StallRecord>();
@@ -338,17 +381,17 @@ Decision AspectModerator::preactivation(InvocationContext& ctx) {
         }
 
         if (!satisfied) {
-          guarded_on_cancel(cc, ctx);
+          guarded_on_cancel(cc, arrived, ctx);
           if (stop_requested) {
             ctx.set_abort_error(runtime::make_error(
                 ErrorCode::kCancelled, "stop requested while blocked"));
-            ms.stats.cancelled.fetch_add(1, std::memory_order_relaxed);
+            ms.stats.local().cancelled.fetch_add(1, std::memory_order_relaxed);
             log_event("cancelled", ctx);
           } else {
             ctx.set_abort_error(runtime::make_error(
                 ErrorCode::kTimeout,
                 "deadline expired during preactivation"));
-            ms.stats.timed_out.fetch_add(1, std::memory_order_relaxed);
+            ms.stats.local().timed_out.fetch_add(1, std::memory_order_relaxed);
             log_event("timeout", ctx);
           }
           return Outcome::kAborted;
@@ -358,7 +401,7 @@ Decision AspectModerator::preactivation(InvocationContext& ctx) {
       if (recompose) return Outcome::kRecompose;  // re-read chain and group
 
       if (verdict == Decision::kAbort) {
-        guarded_on_cancel(cc, ctx);
+        guarded_on_cancel(cc, arrived, ctx);
         if (!ctx.abort_error()) {
           std::string by(
               ctx.note_view("vetoed.by").value_or("unknown aspect"));
@@ -368,10 +411,10 @@ Decision AspectModerator::preactivation(InvocationContext& ctx) {
         if (ctx.abort_error()->code == ErrorCode::kCancelled) {
           // Refused by shutdown (or a cancellation-flavored veto), not by
           // a concern's own decision.
-          ms.stats.cancelled.fetch_add(1, std::memory_order_relaxed);
+          ms.stats.local().cancelled.fetch_add(1, std::memory_order_relaxed);
           log_event("cancelled", ctx);
         } else {
-          ms.stats.aborted.fetch_add(1, std::memory_order_relaxed);
+          ms.stats.local().aborted.fetch_add(1, std::memory_order_relaxed);
           log_event("abort", ctx);
         }
         return Outcome::kAborted;
@@ -391,7 +434,7 @@ Decision AspectModerator::preactivation(InvocationContext& ctx) {
       ctx.set_admitted_chain(mod->chain.get());
       ctx.set_moderation_hint(mod.get());
       open_span(ctx, parity);
-      ms.stats.admitted.fetch_add(1, std::memory_order_relaxed);
+      ms.stats.local().admitted.fetch_add(1, std::memory_order_relaxed);
       log_event("admitted", ctx);
       return Outcome::kAdmitted;
     };
@@ -460,9 +503,18 @@ void AspectModerator::postactivation(InvocationContext& ctx) {
   // record tries to complete lock-free. Validation failure (a waiter
   // appeared, the composition or a plan moved, a barrier is draining)
   // falls through to the locked completion below, pinning included.
-  if (admitted != nullptr && admitted->fast_eligible &&
-      try_fast_completion(*admitted, ctx)) {
-    return;
+  if (admitted != nullptr && admitted->fast_eligible) {
+    FastTry t = try_fast_completion(*admitted, ctx);
+    // Bounded wait (DESIGN.md §11.4): a raised lockers count with nobody
+    // asleep is a locked section about to leave; outwaiting it is cheaper
+    // than taking every shard mutex behind it.
+    if (t == FastTry::kContended) {
+      bounded_wait([&] {
+        t = try_fast_completion(*admitted, ctx);
+        return t != FastTry::kContended;
+      });
+    }
+    if (t == FastTry::kHandled) return;
   }
 
   // Postactions run for the chain the invocation was ADMITTED under
@@ -564,7 +616,7 @@ void AspectModerator::postactivation(InvocationContext& ctx) {
             guarded_postaction(cc.ops[i], ctx);
           }
         }
-        stats_owner->self->stats.completed.fetch_add(
+        stats_owner->self->stats.local().completed.fetch_add(
             1, std::memory_order_relaxed);
         log_event("postactivation", ctx);
         for (std::size_t i = 0; i < shards.size(); ++i) {
@@ -618,7 +670,7 @@ void AspectModerator::postactivation(InvocationContext& ctx) {
         }
       }
       (pinned ? pinned->self : mod->self)
-          ->stats.completed.fetch_add(1, std::memory_order_relaxed);
+          ->stats.local().completed.fetch_add(1, std::memory_order_relaxed);
       log_event("postactivation", ctx);
       for (auto* s : mod->completion_shards) {
         if (s->waiters > 0) {
@@ -841,10 +893,19 @@ void AspectModerator::guarded_on_arrive(const CompiledOp& op,
 }
 
 void AspectModerator::guarded_on_cancel(const CompiledChainData& cc,
+                                        const ArrivedVec& arrived,
                                         InvocationContext& ctx) {
   if (!cc.any_cancel) return;
   for (const CompiledOp& op : cc.ops) {
     if (op.hooks.on_cancel == nullptr) continue;
+    // on_cancel undoes on_arrive: an aspect whose on_arrive never fired for
+    // this call (shed, refused or claimed before the arrive loop) has
+    // nothing to undo, and cancelling it would corrupt its bookkeeping.
+    if (op.hooks.on_arrive != nullptr &&
+        std::find(arrived.begin(), arrived.end(), op.aspect) ==
+            arrived.end()) {
+      continue;
+    }
     try {
       op.hooks.on_cancel(*op.aspect, ctx);
     } catch (...) {
@@ -1110,10 +1171,11 @@ void AspectModerator::settle_async(ParkedCall& call, Decision verdict) {
 void AspectModerator::async_attempt(ParkedCall& call) {
   InvocationContext& ctx = *call.ctx;
 
-  // One lock-free attempt first, exactly like the synchronous entry.
+  // One lock-free attempt first, like the synchronous entry, but with no
+  // bounded wait: an async submit never spins.
   {
     Decision fast{};
-    if (try_fast_admission(ctx, call.arrived, &fast)) {
+    if (try_fast_admission(ctx, call.arrived, &fast) == FastTry::kHandled) {
       settle_async(call, fast);
       return;
     }
@@ -1186,26 +1248,26 @@ void AspectModerator::async_attempt(ParkedCall& call) {
         // deadline passes with no further signal (eviction transfers the
         // node; the retry aborts above with kDeadlineExceeded).
         if (ctx.deadline() && now_fast() >= *ctx.deadline()) {
-          guarded_on_cancel(cc, ctx);
+          guarded_on_cancel(cc, call.arrived, ctx);
           ctx.set_abort_error(runtime::make_error(
               ErrorCode::kTimeout, "deadline expired during preactivation"));
-          ms.stats.timed_out.fetch_add(1, std::memory_order_relaxed);
+          ms.stats.local().timed_out.fetch_add(1, std::memory_order_relaxed);
           log_event("timeout", ctx);
           verdict = Decision::kAbort;
           return Att::kSettled;
         }
         if (ctx.stop() && ctx.stop()->stop_requested()) {
-          guarded_on_cancel(cc, ctx);
+          guarded_on_cancel(cc, call.arrived, ctx);
           ctx.set_abort_error(runtime::make_error(
               ErrorCode::kCancelled, "stop requested while blocked"));
-          ms.stats.cancelled.fetch_add(1, std::memory_order_relaxed);
+          ms.stats.local().cancelled.fetch_add(1, std::memory_order_relaxed);
           log_event("cancelled", ctx);
           verdict = Decision::kAbort;
           return Att::kSettled;
         }
         if (!call.announced_block) {
           call.announced_block = true;
-          ms.stats.block_events.fetch_add(1, std::memory_order_relaxed);
+          ms.stats.local().block_events.fetch_add(1, std::memory_order_relaxed);
           log_event("blocked", ctx);
         }
         // Raise the sleeper stake BEFORE the final guard re-check — the
@@ -1255,7 +1317,7 @@ void AspectModerator::async_attempt(ParkedCall& call) {
       }
 
       if (verdict == Decision::kAbort) {
-        guarded_on_cancel(cc, ctx);
+        guarded_on_cancel(cc, call.arrived, ctx);
         if (!ctx.abort_error()) {
           std::string by(
               ctx.note_view("vetoed.by").value_or("unknown aspect"));
@@ -1263,10 +1325,10 @@ void AspectModerator::async_attempt(ParkedCall& call) {
               runtime::make_error(ErrorCode::kAborted, "vetoed by " + by));
         }
         if (ctx.abort_error()->code == ErrorCode::kCancelled) {
-          ms.stats.cancelled.fetch_add(1, std::memory_order_relaxed);
+          ms.stats.local().cancelled.fetch_add(1, std::memory_order_relaxed);
           log_event("cancelled", ctx);
         } else {
-          ms.stats.aborted.fetch_add(1, std::memory_order_relaxed);
+          ms.stats.local().aborted.fetch_add(1, std::memory_order_relaxed);
           log_event("abort", ctx);
         }
         return Att::kSettled;
@@ -1282,7 +1344,7 @@ void AspectModerator::async_attempt(ParkedCall& call) {
       ctx.set_admitted_chain(mod->chain.get());
       ctx.set_moderation_hint(mod.get());
       open_span(ctx, parity);
-      ms.stats.admitted.fetch_add(1, std::memory_order_relaxed);
+      ms.stats.local().admitted.fetch_add(1, std::memory_order_relaxed);
       log_event("admitted", ctx);
       return Att::kSettled;
     };
@@ -1536,26 +1598,29 @@ void AspectModerator::drain_fast_windows(MethodState* const* shards,
   // Reading 0 through the seq_cst release sequence of the closing
   // fetch_subs makes every fast hook's writes visible to the locked
   // section that follows.
+  // The windows are striped per thread; the argument holds slot by slot,
+  // because a window opens and closes on one slot.
   for (std::size_t i = 0; i < n; ++i) {
-    while (shards[i]->fast_windows.load(std::memory_order_seq_cst) != 0) {
-      std::this_thread::yield();
-    }
+    shards[i]->fast_windows.for_each([](const auto& window) {
+      while (window.load(std::memory_order_seq_cst) != 0) {
+        std::this_thread::yield();
+      }
+    });
   }
 }
 
-bool AspectModerator::try_fast_admission(InvocationContext& ctx,
-                                         ArrivedVec& arrived,
-                                         Decision* decision) {
+AspectModerator::FastTry AspectModerator::try_fast_admission(
+    InvocationContext& ctx, ArrivedVec& arrived, Decision* decision) {
   // Cheap pre-checks outside the window: shutdown and drain bookkeeping
   // belong to the slow path; a raised lockers count or a draining barrier
   // would fail validation anyway, so don't even open a window.
-  if (shutdown_.load(std::memory_order_acquire)) return false;
+  if (shutdown_.load(std::memory_order_acquire)) return FastTry::kSlow;
   // Borrowed from the cache's owning slot: nothing below displaces it
   // (the hooks contract forbids calling back into the moderator), and the
   // graveyard keeps the record alive once it is stowed in the context.
   const std::shared_ptr<const Moderation>& mod =
       cached_moderation(ctx.method());
-  if (!mod->fast_eligible) return false;
+  if (!mod->fast_eligible) return FastTry::kSlow;
   MethodState* self = mod->self;
   const CompiledChainData& cc = *mod->compiled;
   // Hook-free ops (empty chain) skip the whole Dekker handshake: they read
@@ -1563,10 +1628,10 @@ bool AspectModerator::try_fast_admission(InvocationContext& ctx,
   // neither the lockers check nor a fast window is needed for them.
   const bool hooked = !cc.ops.empty();
   if (hooked && self->lockers.load(std::memory_order_seq_cst) != 0) {
-    return false;
+    return FastTry::kContended;
   }
   const std::uint64_t g = gen_.load(std::memory_order_seq_cst);
-  if ((g & 1) != 0) return false;
+  if ((g & 1) != 0) return FastTry::kSlow;
 
   // Register the SPAN directly as this invocation's stake in the
   // recomposition barrier — no separate burst. The seq_cst RMW totally
@@ -1585,18 +1650,20 @@ bool AspectModerator::try_fast_admission(InvocationContext& ctx,
         1, std::memory_order_seq_cst);
     if ((gen_.load(std::memory_order_seq_cst) & 1) != 0) signal_barrier();
   };
-  if (hooked) self->fast_windows.fetch_add(1, std::memory_order_seq_cst);
+  // The window opens and closes on this thread's slot (see drain).
+  auto& window = self->fast_windows.local();
+  if (hooked) window.fetch_add(1, std::memory_order_seq_cst);
+  const bool locked_out =
+      hooked && self->lockers.load(std::memory_order_seq_cst) != 0;
   const bool valid =
-      (!hooked ||
-       self->lockers.load(std::memory_order_seq_cst) == 0) &&
-      gen_.load(std::memory_order_seq_cst) == g &&
+      !locked_out && gen_.load(std::memory_order_seq_cst) == g &&
       bank_.version() == mod->epoch &&
       plan_rev_.load(std::memory_order_acquire) == mod->plan_rev &&
       !shutdown_.load(std::memory_order_acquire);
   if (!valid) {
-    if (hooked) self->fast_windows.fetch_sub(1, std::memory_order_seq_cst);
+    if (hooked) window.fetch_sub(1, std::memory_order_seq_cst);
     undo_span();
-    return false;
+    return locked_out ? FastTry::kContended : FastTry::kSlow;
   }
 
   // Hook-bearing admissions draw a real arrival_seq (their hooks may
@@ -1628,29 +1695,29 @@ bool AspectModerator::try_fast_admission(InvocationContext& ctx,
     // Non-blocking classifies the chain's NORMAL operation; a guard may
     // still refuse (RW read side under an active writer). Parking and
     // waking is the slow path's job.
-    if (hooked) self->fast_windows.fetch_sub(1, std::memory_order_seq_cst);
+    if (hooked) window.fetch_sub(1, std::memory_order_seq_cst);
     undo_span();
-    return false;
+    return FastTry::kContended;
   }
   if (verdict == Decision::kAbort) {
-    guarded_on_cancel(cc, ctx);
+    guarded_on_cancel(cc, arrived, ctx);
     if (!ctx.abort_error()) {
       std::string by(ctx.note_view("vetoed.by").value_or("unknown aspect"));
       ctx.set_abort_error(
           runtime::make_error(ErrorCode::kAborted, "vetoed by " + by));
     }
     if (ctx.abort_error()->code == ErrorCode::kCancelled) {
-      self->stats.cancelled.fetch_add(1, std::memory_order_relaxed);
+      self->stats.local().cancelled.fetch_add(1, std::memory_order_relaxed);
       log_event("cancelled", ctx);
     } else {
-      self->stats.aborted.fetch_add(1, std::memory_order_relaxed);
+      self->stats.local().aborted.fetch_add(1, std::memory_order_relaxed);
       log_event("abort", ctx);
     }
-    if (hooked) self->fast_windows.fetch_sub(1, std::memory_order_seq_cst);
+    if (hooked) window.fetch_sub(1, std::memory_order_seq_cst);
     undo_span();
     drain_quarantine();
     *decision = Decision::kAbort;
-    return true;
+    return FastTry::kHandled;
   }
 
   // Admission. The fast path never waited, so admitted_at == enqueued_at
@@ -1664,26 +1731,33 @@ bool AspectModerator::try_fast_admission(InvocationContext& ctx,
   ctx.set_admitted_chain(mod->chain.get());
   ctx.set_moderation_hint(mod.get());
   adopt_span(ctx, parity);
-  self->stats.admitted.fetch_add(1, std::memory_order_relaxed);
-  fast_admissions_.fetch_add(1, std::memory_order_relaxed);
+  self->stats.local().admitted.fetch_add(1, std::memory_order_relaxed);
+  fast_admissions_.add(1);
   log_event("admitted", ctx);
-  if (hooked) self->fast_windows.fetch_sub(1, std::memory_order_seq_cst);
+  if (hooked) window.fetch_sub(1, std::memory_order_seq_cst);
   *decision = Decision::kResume;
-  return true;
+  return FastTry::kHandled;
 }
 
-bool AspectModerator::try_fast_completion(const Moderation& mod,
-                                          InvocationContext& ctx) {
+AspectModerator::FastTry AspectModerator::try_fast_completion(
+    const Moderation& mod, InvocationContext& ctx) {
   MethodState* self = mod.self;
   const CompiledChainData& cc = *mod.compiled;
   // Same hook-free shortcut as admission. The sleepers_ checks stay
   // UNCONDITIONAL: the no-notify argument below needs them even for empty
   // chains (skipping the broadcast is about waiters, not hooks).
   const bool hooked = !cc.ops.empty();
+  // Only a raised lockers count with nobody asleep is worth a retry: a
+  // sleeper needs the locked path's broadcast, which waiting cannot give.
+  const auto refused = [&](bool locked_out) {
+    return locked_out && sleepers_.load(std::memory_order_seq_cst) == 0
+               ? FastTry::kContended
+               : FastTry::kSlow;
+  };
   if (hooked && self->lockers.load(std::memory_order_seq_cst) != 0) {
-    return false;
+    return refused(true);
   }
-  if (sleepers_.load(std::memory_order_seq_cst) != 0) return false;
+  if (sleepers_.load(std::memory_order_seq_cst) != 0) return FastTry::kSlow;
 
   // NO burst registration: the admission span (still open, at the parity
   // the invocation was admitted under) is itself the barrier stake. A
@@ -1693,18 +1767,19 @@ bool AspectModerator::try_fast_completion(const Moderation& mod,
   // (odd = drain in progress → let the locked path complete); the bank
   // epoch and plan-rev checks inside the window catch everything a
   // completed barrier could have changed.
-  if ((gen_.load(std::memory_order_seq_cst) & 1) != 0) return false;
-  if (hooked) self->fast_windows.fetch_add(1, std::memory_order_seq_cst);
+  if ((gen_.load(std::memory_order_seq_cst) & 1) != 0) return FastTry::kSlow;
+  auto& window = self->fast_windows.local();
+  if (hooked) window.fetch_add(1, std::memory_order_seq_cst);
+  const bool locked_out =
+      hooked && self->lockers.load(std::memory_order_seq_cst) != 0;
   const bool valid =
-      (!hooked ||
-       self->lockers.load(std::memory_order_seq_cst) == 0) &&
-      sleepers_.load(std::memory_order_seq_cst) == 0 &&
+      !locked_out && sleepers_.load(std::memory_order_seq_cst) == 0 &&
       (gen_.load(std::memory_order_seq_cst) & 1) == 0 &&
       moderation_valid(mod) &&
       plan_rev_.load(std::memory_order_acquire) == mod.plan_rev;
   if (!valid) {
-    if (hooked) self->fast_windows.fetch_sub(1, std::memory_order_seq_cst);
-    return false;
+    if (hooked) window.fetch_sub(1, std::memory_order_seq_cst);
+    return refused(locked_out);
   }
 
   if (cc.any_post || fault_ != nullptr) {
@@ -1712,8 +1787,8 @@ bool AspectModerator::try_fast_completion(const Moderation& mod,
       guarded_postaction(cc.ops[i], ctx);
     }
   }
-  self->stats.completed.fetch_add(1, std::memory_order_relaxed);
-  fast_completions_.fetch_add(1, std::memory_order_relaxed);
+  self->stats.local().completed.fetch_add(1, std::memory_order_relaxed);
+  fast_completions_.add(1);
   log_event("postactivation", ctx);
   sample_latency(ctx);
   // No notify — justified on two axes, both validated inside the window:
@@ -1728,10 +1803,10 @@ bool AspectModerator::try_fast_completion(const Moderation& mod,
   //    waiter registering after our check re-evaluates its guards inside
   //    the cv wait, past the full fence of its seq_cst increment.
   // Either way, nobody needs the wakeup.
-  if (hooked) self->fast_windows.fetch_sub(1, std::memory_order_seq_cst);
+  if (hooked) window.fetch_sub(1, std::memory_order_seq_cst);
   close_span(ctx);
   drain_quarantine();
-  return true;
+  return FastTry::kHandled;
 }
 
 // --- batch moderation / flat combining (DESIGN.md §14) ---------------------
@@ -1826,7 +1901,8 @@ void AspectModerator::park_batch_node(BatchRequest& n,
     n.cv.notify_all();
   }
   if (!parked) return;
-  n.mod->self->stats.block_events.fetch_add(1, std::memory_order_relaxed);
+  n.mod->self->stats.local().block_events.fetch_add(
+      1, std::memory_order_relaxed);
   log_event("blocked", *n.ctx);
   link();
 }
@@ -1867,10 +1943,11 @@ bool AspectModerator::process_batch_node(BatchRequest& n) {
       detach_batch_node(n);  // owner claimed concurrently
       return false;
     }
-    guarded_on_cancel(cc, ctx);
+    guarded_on_cancel(cc, *n.arrived, ctx);
     ctx.set_abort_error(runtime::make_error(
         ErrorCode::kTimeout, "deadline expired during preactivation"));
-    n.mod->self->stats.timed_out.fetch_add(1, std::memory_order_relaxed);
+    n.mod->self->stats.local().timed_out.fetch_add(
+        1, std::memory_order_relaxed);
     log_event("timeout", ctx);
     finish_batch_node(n, State::kAborted);
     return true;  // the cancel may have released guard state
@@ -1901,7 +1978,7 @@ bool AspectModerator::process_batch_node(BatchRequest& n) {
   }
 
   if (verdict == Decision::kAbort) {
-    guarded_on_cancel(cc, ctx);
+    guarded_on_cancel(cc, *n.arrived, ctx);
     if (!ctx.abort_error()) {
       std::string by(ctx.note_view("vetoed.by").value_or("unknown aspect"));
       ctx.set_abort_error(
@@ -1909,10 +1986,10 @@ bool AspectModerator::process_batch_node(BatchRequest& n) {
     }
     MethodState& ms = *n.mod->self;
     if (ctx.abort_error()->code == ErrorCode::kCancelled) {
-      ms.stats.cancelled.fetch_add(1, std::memory_order_relaxed);
+      ms.stats.local().cancelled.fetch_add(1, std::memory_order_relaxed);
       log_event("cancelled", ctx);
     } else {
-      ms.stats.aborted.fetch_add(1, std::memory_order_relaxed);
+      ms.stats.local().aborted.fetch_add(1, std::memory_order_relaxed);
       log_event("abort", ctx);
     }
     finish_batch_node(n, State::kAborted);
@@ -1935,7 +2012,7 @@ bool AspectModerator::process_batch_node(BatchRequest& n) {
   spans_[static_cast<std::size_t>(parity)].fetch_add(
       1, std::memory_order_seq_cst);
   n.span_parity = parity;
-  n.mod->self->stats.admitted.fetch_add(1, std::memory_order_relaxed);
+  n.mod->self->stats.local().admitted.fetch_add(1, std::memory_order_relaxed);
   log_event("admitted", ctx);
   finish_batch_node(n, State::kAdmitted);
   return true;
@@ -2132,7 +2209,7 @@ void AspectModerator::cancel_claimed_node(BatchRequest& n) {
     {
       LockSet locks(shards, count);
       if (dekker) drain_fast_windows(shards, count);
-      guarded_on_cancel(cc, ctx);
+      guarded_on_cancel(cc, *n.arrived, ctx);
       // The cancel may have released guard state (a queue slot, a pending
       // writer count): re-drive parked admissions while the locks are
       // held. Only sound when the held set is the all-shards set.
@@ -2163,20 +2240,20 @@ AspectModerator::Outcome AspectModerator::claimed_abort(BatchRequest& n,
     case BatchEscape::kStop:
       ctx.set_abort_error(runtime::make_error(
           ErrorCode::kCancelled, "stop requested while blocked"));
-      ms.stats.cancelled.fetch_add(1, std::memory_order_relaxed);
+      ms.stats.local().cancelled.fetch_add(1, std::memory_order_relaxed);
       log_event("cancelled", ctx);
       break;
     case BatchEscape::kTimeout:
       ctx.set_abort_error(runtime::make_error(
           ErrorCode::kTimeout, "deadline expired during preactivation"));
-      ms.stats.timed_out.fetch_add(1, std::memory_order_relaxed);
+      ms.stats.local().timed_out.fetch_add(1, std::memory_order_relaxed);
       log_event("timeout", ctx);
       break;
     case BatchEscape::kEvicted:
       ctx.set_abort_error(runtime::make_error(
           ErrorCode::kDeadlineExceeded,
           "evicted by stall watchdog while blocked"));
-      ms.stats.aborted.fetch_add(1, std::memory_order_relaxed);
+      ms.stats.local().aborted.fetch_add(1, std::memory_order_relaxed);
       log_event("abort", ctx);
       break;
   }
@@ -2216,6 +2293,11 @@ AspectModerator::Outcome AspectModerator::batch_moderate(
 
   enum class Escape { kNone, kTimeout, kStop, kEvicted };
   const auto wait_slot = [&](auto&& leave, bool evictable) -> Escape {
+    // Bounded wait (DESIGN.md §14.2): a combiner usually settles the slot
+    // within microseconds, so watch it for a bounded time before the cv
+    // sleep. Every settle still notifies under the slot mutex, so the
+    // wait below stays correct whatever this watch saw.
+    if (bounded_wait(leave)) return Escape::kNone;
     std::unique_lock lk(req.mu);
     for (;;) {
       if (leave()) return Escape::kNone;

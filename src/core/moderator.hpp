@@ -46,6 +46,7 @@
 
 #include "concurrency/completion.hpp"
 #include "concurrency/intru_queue.hpp"
+#include "concurrency/knobs.hpp"
 #include "core/bank.hpp"
 #include "core/context.hpp"
 #include "core/decision.hpp"
@@ -209,10 +210,10 @@ class AspectModerator {
   /// Invocations admitted / completed on the optimistic fast path
   /// (DESIGN.md §11); monotone, for tests and perf diagnostics.
   std::uint64_t fast_admissions() const {
-    return fast_admissions_.load(std::memory_order_relaxed);
+    return fast_admissions_.load();
   }
   std::uint64_t fast_completions() const {
-    return fast_completions_.load(std::memory_order_relaxed);
+    return fast_completions_.load();
   }
 
   // --- asynchronous moderation (DESIGN.md §18) --------------------------
@@ -240,24 +241,37 @@ class AspectModerator {
   }
 
  private:
-  /// Atomic mirror of MethodStats. Relaxed updates: the optimistic fast
-  /// path bumps counters without the shard mutex, and exact cross-field
-  /// consistency was never promised (stats() is a racy snapshot anyway).
+  /// Atomic mirror of MethodStats, one copy per stripe (concurrency/
+  /// knobs.hpp): every call bumps its own thread's slot, and a snapshot
+  /// sums the slots. Relaxed updates: the optimistic fast path bumps
+  /// counters without the shard mutex, and exact cross-field consistency
+  /// was never promised (stats() is a racy snapshot anyway); once the
+  /// calls have quiesced, the sums are exact.
+  struct StatsSlot {
+    par_atomic<std::uint64_t> admitted{0};
+    par_atomic<std::uint64_t> completed{0};
+    par_atomic<std::uint64_t> aborted{0};
+    par_atomic<std::uint64_t> timed_out{0};
+    par_atomic<std::uint64_t> cancelled{0};
+    par_atomic<std::uint64_t> block_events{0};
+  };
   struct StatsCells {
-    std::atomic<std::uint64_t> admitted{0};
-    std::atomic<std::uint64_t> completed{0};
-    std::atomic<std::uint64_t> aborted{0};
-    std::atomic<std::uint64_t> timed_out{0};
-    std::atomic<std::uint64_t> cancelled{0};
-    std::atomic<std::uint64_t> block_events{0};
+    par_striped<StatsSlot> slots;
+
+    /// The calling thread's slot (the only one it may bump).
+    StatsSlot& local() { return slots.local(); }
 
     MethodStats snapshot() const {
-      return MethodStats{admitted.load(std::memory_order_relaxed),
-                         completed.load(std::memory_order_relaxed),
-                         aborted.load(std::memory_order_relaxed),
-                         timed_out.load(std::memory_order_relaxed),
-                         cancelled.load(std::memory_order_relaxed),
-                         block_events.load(std::memory_order_relaxed)};
+      MethodStats s;
+      slots.for_each([&](const StatsSlot& c) {
+        s.admitted += c.admitted.load(std::memory_order_relaxed);
+        s.completed += c.completed.load(std::memory_order_relaxed);
+        s.aborted += c.aborted.load(std::memory_order_relaxed);
+        s.timed_out += c.timed_out.load(std::memory_order_relaxed);
+        s.cancelled += c.cancelled.load(std::memory_order_relaxed);
+        s.block_events += c.block_events.load(std::memory_order_relaxed);
+      });
+      return s;
     }
   };
 
@@ -286,14 +300,17 @@ class AspectModerator {
     // set includes this shard: incremented before the mutexes are taken,
     // held elevated across cv sleeps, decremented only after the final
     // unlock — so "some slow section (or sleeping waiter) covers this
-    // shard" is visible without its mutex. `fast_windows` counts open
-    // lock-free hook windows on this shard. Fast opens a window then
-    // checks lockers == 0; slow raises lockers then (under the locks)
-    // spins until fast_windows == 0. Both sides seq_cst: the total order
-    // guarantees at least one side observes the other, so lock-free hooks
-    // never overlap a locked section that covers the same shard.
-    std::atomic<std::int64_t> lockers{0};
-    std::atomic<std::int64_t> fast_windows{0};
+    // shard" is visible without its mutex. It has its own cache line: the
+    // fast path reads it on every call, and a line shared with the mutex
+    // would be invalidated by every locked section on the shard. `fast_windows` counts open lock-free hook
+    // windows on this shard, striped per thread: a window opens and
+    // closes on the caller's slot. Fast opens a window then checks
+    // lockers == 0; slow raises lockers then (under the locks) spins
+    // until every slot reads 0. Both sides seq_cst: per slot, the total
+    // order guarantees at least one side observes the other, so lock-free
+    // hooks never overlap a locked section that covers the same shard.
+    alignas(concurrency::kCacheLine) std::atomic<std::int64_t> lockers{0};
+    par_counter<std::int64_t> fast_windows;
   };
 
   /// Tiny inline-storage vector for the moderation hot path: lock groups
@@ -428,13 +445,19 @@ class AspectModerator {
 
   using ArrivedVec = SmallVec<const Aspect*, 8>;
 
-  // One lock-free admission attempt. Returns true when it fully handled
-  // the invocation (*decision is kResume or kAbort); false means "take
-  // the locked slow path" (not eligible, validation failed, or a guard
-  // said kBlock — the slow path sleeps and wakes correctly). on_arrive
-  // hooks that already fired are recorded in `arrived` either way.
-  bool try_fast_admission(InvocationContext& ctx, ArrivedVec& arrived,
-                          Decision* decision);
+  // Outcome of one lock-free attempt. kHandled: the attempt fully handled
+  // the invocation. kContended: refused by a locked section in progress
+  // (raised lockers) or, at admission, by a kBlock verdict — a state that
+  // usually clears within microseconds, so the caller may retry for a
+  // bounded time (DESIGN.md §11.4). kSlow: take the locked path now.
+  enum class FastTry { kHandled, kContended, kSlow };
+
+  // One lock-free admission attempt. kHandled means *decision is kResume
+  // or kAbort; otherwise the locked slow path (which sleeps and wakes
+  // correctly) owns the call. on_arrive hooks that already fired are
+  // recorded in `arrived` either way.
+  FastTry try_fast_admission(InvocationContext& ctx, ArrivedVec& arrived,
+                             Decision* decision);
 
   // One lock-free completion attempt for an invocation admitted under the
   // fast-eligible record `mod`. Runs the admitted compiled chain's
@@ -444,7 +467,8 @@ class AspectModerator {
   // means no sleeping waiter anywhere holds this shard in its locked set,
   // and the nonblocking capability contract (bank-visible coupling only)
   // makes that set cover every guard these postactions could enable.
-  bool try_fast_completion(const Moderation& mod, InvocationContext& ctx);
+  // kContended only when lockers refused it and no thread is asleep.
+  FastTry try_fast_completion(const Moderation& mod, InvocationContext& ctx);
 
   // Thread-local Moderation lookup for the fast path: avoids the shared
   // registry lock on cache hits. Entries are keyed by (instance nonce,
@@ -629,7 +653,11 @@ class AspectModerator {
   // point (an injected fault after a no-op hook is indistinguishable from
   // one after a skipped hook, and the chaos schedule stays deterministic).
   void guarded_on_arrive(const CompiledOp& op, InvocationContext& ctx);
-  void guarded_on_cancel(const CompiledChainData& cc, InvocationContext& ctx);
+  // Every cancel site goes through here: an aspect with an on_arrive hook
+  // gets on_cancel only if it is in `arrived` (its on_arrive fired for
+  // this invocation), so cancel never runs unpaired.
+  void guarded_on_cancel(const CompiledChainData& cc,
+                         const ArrivedVec& arrived, InvocationContext& ctx);
   void guarded_entry(const CompiledOp& op, InvocationContext& ctx);
   void guarded_postaction(const CompiledOp& op, InvocationContext& ctx);
 
@@ -798,10 +826,14 @@ class AspectModerator {
   std::vector<AspectPtr> pending_quarantine_;
   std::atomic<bool> quarantine_pending_{false};
 
-  // Recomposition barrier state (see comment block above).
-  std::atomic<std::uint64_t> gen_{0};
-  std::array<std::atomic<std::int64_t>, 2> bursts_{};
-  std::array<std::atomic<std::int64_t>, 2> spans_{};
+  // Recomposition barrier state (see comment block above). One cache line
+  // each: every call reads gen_, and writes spans_ (fast path) or bursts_
+  // (locked path); sharing a line would turn each read of gen_ into a miss.
+  alignas(concurrency::kCacheLine) std::atomic<std::uint64_t> gen_{0};
+  alignas(concurrency::kCacheLine)
+      std::array<std::atomic<std::int64_t>, 2> bursts_{};
+  alignas(concurrency::kCacheLine)
+      std::array<std::atomic<std::int64_t>, 2> spans_{};
   std::mutex bar_mu_;
   std::condition_variable bar_cv_;
   std::mutex barrier_serial_mu_;  // one barrier at a time
@@ -833,11 +865,13 @@ class AspectModerator {
   std::atomic<std::uint64_t> plan_rev_{1};
   std::unordered_map<runtime::MethodId, std::shared_ptr<const Moderation>>
       moderation_cache_;
-  std::atomic<std::uint64_t> arrival_counter_{0};
-  std::atomic<bool> shutdown_{false};
-  // Fast-path introspection (relaxed; see fast_admissions()).
-  std::atomic<std::uint64_t> fast_admissions_{0};
-  std::atomic<std::uint64_t> fast_completions_{0};
+  alignas(concurrency::kCacheLine)
+      std::atomic<std::uint64_t> arrival_counter_{0};
+  alignas(concurrency::kCacheLine) std::atomic<bool> shutdown_{false};
+  // Fast-path introspection (relaxed; see fast_admissions()), striped per
+  // thread so the tallies add no shared write to the fast path.
+  par_counter<std::uint64_t> fast_admissions_;
+  par_counter<std::uint64_t> fast_completions_;
   // Number of threads currently inside a blocked-wait section anywhere in
   // this moderator (raised before the cv wait loop's first predicate
   // re-check, lowered on wake). The no-plan completion contract is a
@@ -846,7 +880,7 @@ class AspectModerator {
   // completion therefore also validates sleepers_ == 0 (seq_cst) and
   // defers to the locked, broadcasting slow path whenever any thread in
   // the process is blocked — even on an unrelated shard.
-  std::atomic<std::int64_t> sleepers_{0};
+  alignas(concurrency::kCacheLine) std::atomic<std::int64_t> sleepers_{0};
   // Batch-moderation combiner (DESIGN.md §14). One per moderator: every
   // batch-eligible record's completion set is the all-shards set (G6), so
   // a single leader election covers all groups.

@@ -27,6 +27,7 @@
 #include "aspects/synchronization.hpp"
 #include "core/aspect.hpp"
 #include "core/moderator.hpp"
+#include "core/verify.hpp"
 #include "runtime/clock.hpp"
 
 namespace amf::core {
@@ -272,6 +273,70 @@ TEST(ModeratorBatchTest, ExpiredDeadlineTimesOutWhileParked) {
   EXPECT_EQ(ctx.abort_error()->code, ErrorCode::kTimeout);
   EXPECT_EQ(moderator.stats(m).timed_out, 1u);
   EXPECT_EQ(moderator.blocked_waiters(), 0u);
+}
+
+// Regression: a queued call whose deadline had already passed was shed
+// before its arrive loop, yet the shedding ran on_cancel — an unpaired
+// cancel that wrapped ReadersWriterAspect's waiting-writer count below
+// zero, after which every reader blocked for good. No threads needed: the
+// lone caller becomes the combiner and sheds its own node.
+TEST(ModeratorBatchTest, ShedExpiredCallRunsNoUnpairedCancel) {
+  runtime::ManualClock clock;
+  ModeratorOptions options;
+  options.clock = &clock;
+  AspectModerator moderator(options);
+  const auto read = MethodId::of("batch-shed-read");
+  const auto write = MethodId::of("batch-shed-write");
+  auto rw = std::make_shared<aspects::ReadersWriterAspect>();
+  rw->add_reader(read);
+  rw->add_writer(write);
+  auto guard = std::make_shared<HookOrderGuard>(rw);
+  moderator.register_aspect(read, AspectKind::of("batch-shed-k"), guard);
+  moderator.register_aspect(write, AspectKind::of("batch-shed-k"), guard);
+
+  InvocationContext late(write);
+  late.set_deadline(clock.now());  // already due when it is queued
+  EXPECT_EQ(moderator.preactivation(late), Decision::kAbort);
+  ASSERT_TRUE(late.abort_error());
+  EXPECT_EQ(late.abort_error()->code, ErrorCode::kTimeout);
+  EXPECT_EQ(moderator.stats(write).timed_out, 1u);
+
+  EXPECT_TRUE(guard->violations().empty())
+      << guard->violations().front().description;
+  EXPECT_EQ(rw->waiting_writers(), 0u);
+  // Readers are not barred by a phantom waiting writer.
+  InvocationContext reader(read);
+  EXPECT_EQ(moderator.preactivation(reader), Decision::kResume);
+  moderator.postactivation(reader);
+  EXPECT_TRUE(guard->violations().empty());
+}
+
+// The async first attempt refused by shutdown never ran its arrive loop,
+// so it must not cancel either.
+TEST(ModeratorBatchTest, AsyncRefusalAfterShutdownRunsNoUnpairedCancel) {
+  AspectModerator moderator;
+  const auto read = MethodId::of("batch-async-read");
+  const auto write = MethodId::of("batch-async-write");
+  auto rw = std::make_shared<aspects::ReadersWriterAspect>();
+  rw->add_reader(read);
+  rw->add_writer(write);
+  auto guard = std::make_shared<HookOrderGuard>(rw);
+  moderator.register_aspect(read, AspectKind::of("batch-async-k"), guard);
+  moderator.register_aspect(write, AspectKind::of("batch-async-k"), guard);
+  moderator.shutdown();
+
+  InvocationContext ctx(write);
+  AspectModerator::ParkedCall call;
+  call.ctx = &ctx;
+  Decision verdict = Decision::kBlock;
+  call.settle.emplace([&](Decision d) { verdict = d; });
+  moderator.preactivation_async(call);
+  EXPECT_EQ(verdict, Decision::kAbort);
+  ASSERT_TRUE(ctx.abort_error());
+  EXPECT_EQ(ctx.abort_error()->code, ErrorCode::kCancelled);
+  EXPECT_TRUE(guard->violations().empty())
+      << guard->violations().front().description;
+  EXPECT_EQ(rw->waiting_writers(), 0u);
 }
 
 // --- shutdown flushes the batch queue ------------------------------------

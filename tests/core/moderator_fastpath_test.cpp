@@ -341,5 +341,131 @@ TEST(ModeratorFastPathTest, GroupedRwKeepsExclusionWithFastReaders) {
             static_cast<std::uint64_t>(kWrites));
 }
 
+// --- striped tallies and the bounded wait (DESIGN.md §11.4) --------------
+
+// The per-call tallies live in per-thread stripes and are summed on read:
+// after a storm every sum must be exact, whichever thread did the adding.
+TEST(ModeratorFastPathTest, StripedTalliesAreExactAfterStorm) {
+  AspectModerator moderator;
+  const auto read = MethodId::of("fp-storm-read");
+  const auto write = MethodId::of("fp-storm-write");
+  auto rw = std::make_shared<aspects::ReadersWriterAspect>();
+  rw->add_reader(read);
+  rw->add_writer(write);
+  moderator.register_aspect(read, AspectKind::of("fp-storm"), rw);
+  moderator.register_aspect(write, AspectKind::of("fp-storm"), rw);
+
+  constexpr int kThreads = 4;
+  constexpr int kReadOnlyOps = 2000;
+  // Read-only: nothing ever refuses, so every call is fast both ways and
+  // the fast tallies equal the calls made.
+  {
+    std::vector<std::jthread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        for (int i = 0; i < kReadOnlyOps; ++i) {
+          InvocationContext ctx(read);
+          ASSERT_EQ(moderator.preactivation(ctx), Decision::kResume);
+          moderator.postactivation(ctx);
+        }
+      });
+    }
+  }
+  constexpr auto kReadOnlyCalls =
+      static_cast<std::uint64_t>(kThreads * kReadOnlyOps);
+  EXPECT_EQ(moderator.fast_admissions(), kReadOnlyCalls);
+  EXPECT_EQ(moderator.fast_completions(), kReadOnlyCalls);
+
+  // Read/write: one call in eight writes, so readers also refuse, retry,
+  // park and complete on the locked path.
+  constexpr int kMixedOps = 2000;
+  std::atomic<std::uint64_t> reads{0};
+  std::atomic<std::uint64_t> writes{0};
+  {
+    std::vector<std::jthread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < kMixedOps; ++i) {
+          const bool is_write = (i + t) % 8 == 0;
+          InvocationContext ctx(is_write ? write : read);
+          ASSERT_EQ(moderator.preactivation(ctx), Decision::kResume);
+          moderator.postactivation(ctx);
+          (is_write ? writes : reads).fetch_add(1);
+        }
+      });
+    }
+  }
+  const std::uint64_t all_reads = kReadOnlyCalls + reads.load();
+  const MethodStats rs = moderator.stats(read);
+  const MethodStats ws = moderator.stats(write);
+  EXPECT_EQ(rs.admitted, all_reads);
+  EXPECT_EQ(rs.completed, all_reads);
+  EXPECT_EQ(ws.admitted, writes.load());
+  EXPECT_EQ(ws.completed, writes.load());
+  EXPECT_EQ(rs.aborted + rs.timed_out + rs.cancelled, 0u);
+  EXPECT_EQ(ws.aborted + ws.timed_out + ws.cancelled, 0u);
+  // Only reads are fast-eligible; a read may be admitted on the locked
+  // path and still complete fast, so each tally is bounded by the reads.
+  EXPECT_GE(moderator.fast_admissions(), kReadOnlyCalls);
+  EXPECT_LE(moderator.fast_admissions(), all_reads);
+  EXPECT_GE(moderator.fast_completions(), kReadOnlyCalls);
+  EXPECT_LE(moderator.fast_completions(), all_reads);
+  EXPECT_EQ(moderator.open_spans(), 0);
+  EXPECT_EQ(moderator.blocked_waiters(), 0u);
+  EXPECT_EQ(rw->active_readers(), 0u);
+  EXPECT_EQ(rw->active_writers(), 0u);
+  EXPECT_EQ(rw->waiting_writers(), 0u);
+}
+
+// The bounded wait only delays a park: a writer held out far longer than
+// the wait budget (a reader body of about 5 ms) must still be admitted, by
+// the park path, once the reader leaves.
+TEST(ModeratorFastPathTest, WriterBlockedPastWaitBudgetIsAdmittedByPark) {
+  AspectModerator moderator;
+  const auto read = MethodId::of("fp-live-read");
+  const auto write = MethodId::of("fp-live-write");
+  auto rw = std::make_shared<aspects::ReadersWriterAspect>();
+  rw->add_reader(read);
+  rw->add_writer(write);
+  moderator.register_aspect(read, AspectKind::of("fp-live"), rw);
+  moderator.register_aspect(write, AspectKind::of("fp-live"), rw);
+
+  constexpr auto kHold = std::chrono::milliseconds(5);
+  std::atomic<bool> reader_inside{false};
+  std::atomic<bool> reader_done{false};
+  std::jthread reader([&] {
+    InvocationContext ctx(read);
+    ASSERT_EQ(moderator.preactivation(ctx), Decision::kResume);
+    reader_inside.store(true);
+    // Hold the body until the writer has parked, then 5 ms more.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (moderator.blocked_waiters() == 0 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(kHold);
+    reader_done.store(true);
+    moderator.postactivation(ctx);
+  });
+  while (!reader_inside.load()) std::this_thread::yield();
+
+  const auto start = std::chrono::steady_clock::now();
+  InvocationContext ctx(write);
+  ASSERT_EQ(moderator.preactivation(ctx), Decision::kResume);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_TRUE(reader_done.load()) << "writer admitted beside a reader";
+  EXPECT_EQ(rw->active_readers(), 0u);
+  moderator.postactivation(ctx);
+  reader.join();
+
+  EXPECT_GE(waited, kHold);
+  EXPECT_EQ(moderator.stats(write).block_events, 1u)
+      << "the writer should have parked once, past the bounded wait";
+  EXPECT_EQ(moderator.stats(write).admitted, 1u);
+  EXPECT_EQ(moderator.open_spans(), 0);
+  EXPECT_EQ(moderator.blocked_waiters(), 0u);
+}
+
 }  // namespace
 }  // namespace amf::core
